@@ -520,7 +520,6 @@ def plan_statement(stmt, catalog) -> phys.Plan:
     planner.finalize_np_decode()
     plan = phys.Plan(node, ast.param_indices(stmt))
     plan.batchable = phys.batch_capable(plan)
-    phys.annotate_parallel(plan)
     return plan
 
 

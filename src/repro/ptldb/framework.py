@@ -224,8 +224,7 @@ class _QueryAPI:
 
     # ------------------------------------------------------------------
     # Analytics queries (repro.ptldb.analytics): scan-shaped GROUP BY
-    # aggregation over the raw timetable tables — the proving workload of
-    # the morsel-driven parallel executor (docs/PERFORMANCE.md).
+    # aggregation over the raw timetable tables.
     # ------------------------------------------------------------------
     def busiest_hubs(self, k: int) -> list[tuple[int, int, int, int]]:
         """Top-*k* departure hubs: ``(stop, departures, first, last)``."""
@@ -338,16 +337,14 @@ class PTLDB(_QueryAPI):
         batch_size: int = 1024,
         readahead: int = 8,
         numpy_batches: bool = True,
-        parallel_workers: int = 1,
         workers: int = 1,
         cache_dir: str | None = None,
     ) -> "PTLDB":
         """Preprocess (unless labels are given) and load into a fresh DB.
 
-        ``vectorize``/``batch_size``/``readahead``/``numpy_batches``/
-        ``parallel_workers`` are forwarded to the :class:`Database`
-        executor knobs (docs/ARCHITECTURE.md, "Vectorized pipeline" and
-        "Parallel execution"); ``storage`` picks the label/aux heap layout
+        ``vectorize``/``batch_size``/``readahead``/``numpy_batches`` are
+        forwarded to the :class:`Database` executor knobs
+        (docs/ARCHITECTURE.md, "Vectorized pipeline"); ``storage`` picks the label/aux heap layout
         (docs/STORAGE.md). Results are identical for any combination.
 
         ``workers`` > 1 runs TTL preprocessing on a process pool and
@@ -375,7 +372,6 @@ class PTLDB(_QueryAPI):
             batch_size=batch_size,
             readahead=readahead,
             numpy_batches=numpy_batches,
-            parallel_workers=parallel_workers,
         )
         self = cls(db, labels, compressed=compressed, storage=storage)
         # The analytics family needs the raw timetable alongside the

@@ -182,7 +182,7 @@ class TestRegistry:
 
 
 class TestRegistryThreadSafety:
-    """Racing increments must not be lost (intra-query workers share one
+    """Racing increments must not be lost (concurrent sessions share one
     registry, so an unlocked read-modify-write would drop counts)."""
 
     THREADS = 8
